@@ -1,11 +1,11 @@
 """The analytic execution backend: closed-form results in microseconds.
 
-Maps a scenario through the extended performance model
-(:func:`repro.model.approaches.predict_bench_time` /
-:func:`repro.model.patterns.predict_pattern_time`, including the
-injected-noise mean-shift correction for patterns) and wraps the
-prediction in the same native result object the simulator produces, so
-every consumer — sweeps, figures, stores, reports — works unchanged.
+Maps scenarios through the analytic model — the numpy kernel of
+:mod:`repro.model.vector`, including the injected-noise mean-shift
+correction for patterns — and wraps each prediction in the same native
+result object the simulator produces, so every consumer — sweeps,
+figures, stores, reports — works unchanged.  There is one path:
+:meth:`AnalyticBackend.run` is a one-scenario :meth:`~AnalyticBackend.run_batch`.
 
 Campaign chunks bypass even :meth:`AnalyticBackend.run_batch`: the
 columns-first entry points
@@ -41,7 +41,7 @@ class AnalyticBackend(Backend):
         from ..runner.scenario import KIND_BENCH, KIND_PATTERN
 
         if scenario.kind == KIND_BENCH:
-            from ..model.approaches import APPROACH_PREDICTORS
+            from ..model.vector import APPROACH_PREDICTORS
 
             return scenario.spec.approach in APPROACH_PREDICTORS
         if scenario.kind == KIND_PATTERN:
@@ -51,34 +51,13 @@ class AnalyticBackend(Backend):
         return False
 
     def run(self, scenario: Any) -> Any:
-        from ..runner.scenario import KIND_BENCH, KIND_PATTERN
-
-        if scenario.kind == KIND_BENCH:
-            return self._run_bench(scenario.spec)
-        if scenario.kind == KIND_PATTERN:
-            return self._run_pattern(scenario.spec)
-        raise ValueError(f"unknown scenario kind {scenario.kind!r}")
-
-    #: Below this batch size the scalar loop wins: the kernel's fixed
-    #: per-group numpy overhead (~1-2 ms across 8 approach groups)
-    #: exceeds ~30 µs/point scalar dispatch until roughly this many
-    #: points.  Both paths are bitwise-identical (asserted by the
-    #: equivalence suite), so the cutover is purely a speed choice.
-    VECTOR_MIN_BATCH = 64
+        return self.run_batch([scenario])[0]
 
     def run_batch(self, scenarios: Any) -> list:
-        """Evaluate the whole batch through the vectorized model kernel.
-
-        One :func:`~repro.model.vector.bench_batch_times` /
-        :func:`~repro.model.vector.pattern_batch` call per kind replaces
-        per-point predictor dispatch; results are identical to the
-        per-point :meth:`run` path bit for bit (the kernel mirrors the
-        scalar formulas operation-for-operation, and the equivalence
-        suite asserts it).  Batches below :data:`VECTOR_MIN_BATCH`
-        take the scalar loop instead — same bits, less overhead.
-        """
-        if len(scenarios) < self.VECTOR_MIN_BATCH:
-            return [self.run(scenario) for scenario in scenarios]
+        """Evaluate the whole batch through the model kernel: one
+        :func:`~repro.model.vector.bench_batch_times` /
+        :func:`~repro.model.vector.pattern_batch` call per kind, results
+        in input order."""
         from ..bench.harness import BenchResult
         from ..apps.base import PatternResult
         from ..bench.stats import summarize
@@ -125,35 +104,3 @@ class AnalyticBackend(Backend):
                     n_links=int(batch.n_links[j]),
                 )
         return results
-
-    # ------------------------------------------------------------------
-    def _run_bench(self, spec: Any) -> Any:
-        from ..bench.harness import BenchResult
-        from ..bench.stats import summarize
-        from ..model.approaches import predict_bench_time
-
-        prediction = predict_bench_time(spec)
-        times = [prediction.time] * spec.iterations
-        return BenchResult(
-            spec=spec,
-            times=times,
-            stats=summarize(times),
-            retries=0,
-            verified=True,
-        )
-
-    def _run_pattern(self, config: Any) -> Any:
-        from ..apps.base import PatternResult, build_pattern
-        from ..bench.stats import summarize
-        from ..model.patterns import predict_pattern_time
-
-        pattern = build_pattern(config)
-        prediction = predict_pattern_time(config, pattern=pattern)
-        times = [prediction.time] * config.iterations
-        return PatternResult(
-            config=config,
-            times=times,
-            stats=summarize(times),
-            bytes_per_iteration=pattern.bytes_per_iteration(),
-            n_links=len(pattern.links()),
-        )

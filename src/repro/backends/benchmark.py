@@ -75,10 +75,7 @@ def benchmark_backends(path: str | Path = DEFAULT_JSON_PATH) -> dict:
     records = []
     grids = scaling_grids()
     # Warm both backends' lazy imports outside the timed regions: the
-    # first grid would otherwise be charged one-time import cost.  The
-    # analytic warmup uses the largest grid so the *vectorized* batch
-    # path (taken above VECTOR_MIN_BATCH) loads too, not just the
-    # scalar loop.
+    # first grid would otherwise be charged one-time import cost.
     _time_backend(grids[0][:1], BACKEND_SIM)
     _time_backend(grids[-1], BACKEND_ANALYTIC)
     for scenarios in grids:

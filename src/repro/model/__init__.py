@@ -1,10 +1,11 @@
 """Analytic performance models of the paper (§2.2 and Appendix A).
 
-Beyond the paper's closed forms, :mod:`repro.model.approaches` and
-:mod:`repro.model.patterns` extend the single-message predictor into
-full benchmark coverage — every registered approach and application
-pattern — powering the analytic execution backend
-(:class:`repro.backends.AnalyticBackend`).
+Beyond the paper's closed forms, the model covers the full benchmark —
+every registered approach (:mod:`repro.model.approaches`) and
+application pattern (:mod:`repro.model.patterns`) — and powers the
+analytic execution backend (:class:`repro.backends.AnalyticBackend`).
+Its formulas live in one numpy kernel, :mod:`repro.model.vector`; the
+per-point ``predict_*_time`` functions are one-row calls into it.
 """
 
 from .approaches import (
@@ -27,7 +28,7 @@ from .pipeline import (
     t_bulk,
     t_pipelined,
 )
-from .predict import MessagePrediction, predict_eta, predict_message_time
+from .predict import predict_eta
 from .workloads import (
     FFT,
     PAPER_FFT_TABLE,
@@ -53,8 +54,6 @@ __all__ = [
     "STENCIL",
     "PAPER_FFT_TABLE",
     "PAPER_STENCIL_GAMMAS",
-    "MessagePrediction",
-    "predict_message_time",
     "predict_eta",
     "BenchPrediction",
     "predict_bench_time",

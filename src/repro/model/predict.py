@@ -1,86 +1,19 @@
-"""End-to-end predictions for benchmark configurations.
+"""Pipelining-gain predictions for benchmark configurations.
 
-Combines the wire model (:class:`SystemParams`) with the analytic
-pipeline model to predict what the simulator should measure — used by
-the validation tests (model vs simulation) and, through
-:mod:`repro.model.approaches`, by the analytic execution backend whose
-model-vs-simulation agreement is recorded in the cross-validation
-report (``python -m repro figures --backend both``).
+Wraps the paper's pipeline equations (:mod:`repro.model.pipeline`,
+Eqs. 2–4) with the machine bandwidth of a
+:class:`~repro.net.params.SystemParams`.  Per-approach time predictions
+live in :mod:`repro.model.approaches` and :mod:`repro.model.vector`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
-from ..net import Protocol, SystemParams
+from ..net import SystemParams
 from .pipeline import eta_large, t_bulk, t_pipelined
 
-__all__ = ["MessagePrediction", "predict_message_time", "predict_eta"]
-
-
-@dataclass(frozen=True)
-class MessagePrediction:
-    """Breakdown of a single point-to-point message's predicted time."""
-
-    nbytes: int
-    protocol: Protocol
-    post: float
-    copies: float
-    wire: float
-    latency: float
-    handshake: float
-    recv: float
-
-    @property
-    def total(self) -> float:
-        return (
-            self.post + self.copies + self.wire + self.latency
-            + self.handshake + self.recv
-        )
-
-
-def predict_message_time(params: SystemParams, nbytes: int) -> MessagePrediction:
-    """First-order prediction of one tag-matched message's latency.
-
-    Mirrors the simulator's cost composition for an uncontended,
-    pre-posted receive:
-
-    * ``short``: post + wire + L + match;
-    * ``bcopy``: + pack and unpack memcpys;
-    * ``zcopy``: + RTS/CTS round trip (two extra wire latencies and the
-      control handling), data at full bandwidth with no copies.
-    """
-    proto = params.protocol_for(nbytes)
-    post = params.post_overhead
-    recv = params.recv_overhead
-    copies = 0.0
-    handshake = 0.0
-    wire = params.wire_time(nbytes)
-    if proto is Protocol.BCOPY:
-        copies = 2.0 * params.copy_time(nbytes)
-    elif proto is Protocol.ZCOPY:
-        # RTS: wire + latency + ctrl handling; CTS: ctrl post + wire +
-        # latency + ctrl handling; then the data packet.
-        handshake = (
-            params.wire_time(0) + params.latency + params.ctrl_overhead
-            + params.ctrl_overhead + params.wire_time(0) + params.latency
-            + params.ctrl_overhead
-        )
-        recv = params.put_handler_overhead
-        # data posted by the progress engine
-        handshake += params.post_overhead
-        post = params.post_overhead
-    return MessagePrediction(
-        nbytes=nbytes,
-        protocol=proto,
-        post=post,
-        copies=copies,
-        wire=wire,
-        latency=params.latency,
-        handshake=handshake,
-        recv=recv,
-    )
+__all__ = ["predict_eta"]
 
 
 def predict_eta(

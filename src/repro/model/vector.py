@@ -1,34 +1,88 @@
-"""Vectorized (numpy) evaluation of the closed-form models — the batch kernel.
+"""The closed-form cost model of every approach and pattern — the kernel.
 
-The scalar predictors (:func:`repro.model.approaches.predict_bench_time`,
-:func:`repro.model.patterns.predict_pattern_time`) remain the **single
-source of truth** for every formula; this module re-expresses them over
-numpy arrays so a whole parameter grid evaluates in a handful of array
-operations instead of one Python call per point.  Every expression here
-mirrors its scalar counterpart **operation for operation, in the same
-order**, so the IEEE-754 result of each point is bitwise identical to
-the scalar path — asserted, not assumed, by the batch-equivalence test
-suite (``tests/model/test_vector.py``), which sweeps all 8 approaches
-and all 3 application patterns.
+This module is the analytic model.  Every formula of the analytic
+backend lives here, evaluated over numpy columns, so a whole parameter
+grid costs a handful of array operations instead of one Python call per
+point.  The per-point entry points
+(:func:`repro.model.approaches.predict_bench_time`,
+:func:`repro.model.patterns.predict_pattern_time`) are one-row calls
+into it.  Golden digests taken from the earlier scalar implementation
+(``tests/model/golden_model.json``) pin its output bit for bit; the
+simulator cross-validation (:data:`repro.backends.crossval.TOLERANCES`)
+is the independent check of the model itself.
 
-Batching model
---------------
+Two-rank benchmark model
+------------------------
+For each of the eight registered approaches the kernel composes the
+simulator's calibrated costs (:class:`~repro.net.params.SystemParams`,
+honoring the :class:`~repro.mpi.cvars.Cvars` runtime knobs) into a
+first-order prediction of the *measured communication time* —
+time-to-solution minus compute removal, exactly the §2.1 metric the
+simulator reports.  The composition mirrors the simulated pipeline stage
+by stage:
+
+* **sender injection** — per-message critical-section time under the VCI
+  lock, inflated by :meth:`SystemParams.contention_multiplier` for the
+  threads sharing each VCI (Fig. 5's congestion), over ``min(threads,
+  vcis)`` parallel lanes;
+* **wire serialization** — every forward packet (handshakes included)
+  occupies the single directional wire for
+  :meth:`SystemParams.wire_time` (Fig. 6's residual bound);
+* **receiver processing** — per-message RX work serialized per VCI,
+  plus the partitioned path's shared completion-counter atomics
+  (Fig. 6's ≈×4 residual);
+* **pipelining** — with ``n`` messages and a compute delay ``D`` on the
+  last partition, the measured time is ``max((n-1)·bottleneck - D, 0)``
+  plus one full message path (Eq. 3 generalized to per-stage
+  bottlenecks).
+
+Application-pattern model
+-------------------------
+A pattern (:mod:`repro.apps`) is a directed link graph; the predicted
+iteration time composes per-link message costs with the graph's
+topology, summarized once per unique geometry:
+
+* **per-rank injection** — every rank posts one message per thread per
+  outgoing link, serialized over its VCIs with the same contention
+  multiplier as the two-rank model;
+* **per-pair wire serialization** — each ordered rank pair owns one
+  directional wire; all messages between the pair share it;
+* **per-rank receive processing** — incoming messages serialize on the
+  destination's VCIs;
+* **compute overlap** — the per-partition useful work
+  (``compute_us_per_mb``) is interleaved with the ready calls in the
+  apps harness, so it overlaps the injection bottleneck before being
+  removed by the §2.1 metric;
+* **wavefront depth** — patterns with blocking receives (Sweep3D)
+  serialize along the dependency DAG's longest chain: one hop's
+  receive must complete before the next rank's compute phase starts;
+* **injected noise** — a first-order mean shift (see
+  :mod:`repro.model.patterns`).
+
+Accuracy is first-order by design: the discrete-event simulator resolves
+transient queueing, lock-handoff interleavings, and barrier skew that a
+closed form cannot.  The pattern model is coarser still, which is why
+its tolerance is wider than any bench tolerance.
+
+Batching
+--------
 Points are grouped by the parameters that select *code paths* rather
 than *values* — the approach (each has its own predictor), the frozen
 :class:`~repro.net.params.SystemParams` (so every ``p.*`` cost is a
 scalar inside a group), and the ``vci_method`` string.  Everything else
 (sizes, thread counts, partition counts, VCI counts, compute rates)
-varies per point as an int64/float64 column.  Data-dependent branches of
-the scalar code (protocol ladder, zcopy queue-feedback regimes, pipeline
-bounds) become boolean masks combined with ``np.where``.
+varies per point as an int64/float64 column.  Data-dependent branches
+(protocol ladder, zcopy queue-feedback regimes, pipeline bounds) are
+boolean masks combined with ``np.where``.
 
 Two entry points per family:
 
 * :func:`bench_batch_times` / :func:`pattern_batch` — take spec
   dataclasses (the :meth:`~repro.backends.base.Backend.run_batch` path);
-* :func:`bench_times_from_columns` — takes bare column arrays, so the
-  campaign fast path can decode a million grid indices straight into
-  parameter columns without ever constructing a spec object.
+* :func:`bench_times_from_columns` / :func:`pattern_times_from_columns`
+  — take bare column arrays, so the campaign fast path can decode a
+  million grid indices straight into parameter columns without ever
+  constructing a spec object.
 
 Sizes are assumed to stay below 2**53 bytes (exact int64→float64
 conversion); every grid in the repo is far below that.
@@ -48,10 +102,10 @@ from .approaches import (
     _rendezvous_rtt,
     _token_path,
     _zcopy_queue_contenders,
-    APPROACH_PREDICTORS,
 )
 
 __all__ = [
+    "APPROACH_PREDICTORS",
     "bench_batch_times",
     "bench_times_from_columns",
     "pattern_batch",
@@ -109,22 +163,16 @@ def _copy_vec(p: SystemParams, nbytes):
 
 
 def _bit_length_vec(x: np.ndarray) -> np.ndarray:
-    """``int.bit_length()`` elementwise (exact, no float log)."""
-    v = np.asarray(x, dtype=np.int64).copy()
-    r = np.zeros_like(v)
-    for shift in (32, 16, 8, 4, 2, 1):
-        mask = v >= (np.int64(1) << shift)
-        r[mask] += shift
-        v[mask] >>= shift
-    r += (v > 0).astype(np.int64)
-    return r
+    """``int.bit_length()`` elementwise for non-negative ints below
+    2**53: ``frexp`` returns the binary exponent of the exact float."""
+    return np.frexp(np.asarray(x, dtype=np.float64))[1].astype(np.int64)
 
 
 def _barrier_vec(p: SystemParams, parties) -> np.ndarray:
     """``SystemParams.barrier_time`` over an array.
 
     ``rounds = (parties - 1).bit_length()`` is 0 for ``parties <= 1``,
-    so the scalar's early-return-0 branch folds into the product.
+    so ``barrier_time``'s early-return-0 branch folds into the product.
     """
     return p.thread_barrier_base * _bit_length_vec(
         np.maximum(np.asarray(parties, dtype=np.int64) - 1, 0)
@@ -146,39 +194,46 @@ def _chain_max(*terms):
 
 
 # ---------------------------------------------------------------------------
-# per-message stage costs (vector twins of _tag_msg_cost / _put_msg_cost)
+# per-message stage costs
 # ---------------------------------------------------------------------------
 
 @dataclass
 class _MsgCostV:
-    """Array-valued per-message stage costs (see ``_MsgCost``)."""
+    """Per-message stage costs of one transfer protocol (array-valued)."""
 
+    #: Sender critical-section time (VCI lock held), incl. eager pack.
     post: Any
+    #: Forward-wire occupancy (data + any forward handshake packets).
     wire: Any
+    #: Receiver-side processing (RX loop), incl. eager unpack.
     rx: Any
+    #: One-message end-to-end path, posting to receive completion.
     path: Any
 
 
 def _tag_msg_cost_vec(p: SystemParams, nbytes, mult) -> _MsgCostV:
-    """Vector twin of ``approaches._tag_msg_cost``."""
+    """Stage costs of one tag-matched message (short/bcopy/zcopy)."""
     nbytes = np.asarray(nbytes, dtype=np.int64)
     zc = nbytes > p.eager_max
     bc = (nbytes > p.short_max) & ~zc
     wire0 = p.wire_time(0)
     wire_nb = _wire_vec(p, nbytes)
-    # zcopy branch (RTS/CTS rendezvous)
+    # zcopy: RTS -> (match) -> CTS -> data; the CTS crosses the reverse
+    # wire, so only RTS + data load the forward direction.  The
+    # progress engine's data injection contends on the same VCI lock as
+    # the threads' RTS posts.
     z_post = p.post_overhead * mult * 2.0
     z_wire = wire0 + wire_nb
     z_rx = p.ctrl_overhead + p.put_handler_overhead
     z_path = (
         p.post_overhead * mult + wire0 + p.latency
-        + p.ctrl_overhead
+        + p.ctrl_overhead                      # RTS handled
         + p.ctrl_overhead + wire0 + p.latency
-        + p.ctrl_overhead
-        + p.post_overhead
+        + p.ctrl_overhead                      # CTS answered + handled
+        + p.post_overhead                      # data injected
         + wire_nb + p.latency + p.put_handler_overhead
     )
-    # short/bcopy branch (eager)
+    # short/bcopy (eager): bcopy packs and unpacks through bounce buffers
     pack = np.where(bc, _copy_vec(p, nbytes), 0.0)
     e_post = p.post_overhead * mult + pack
     e_rx = p.recv_overhead + pack  # unpack == pack for bcopy, 0 for short
@@ -192,7 +247,7 @@ def _tag_msg_cost_vec(p: SystemParams, nbytes, mult) -> _MsgCostV:
 
 
 def _put_msg_cost_vec(p: SystemParams, nbytes, mult) -> _MsgCostV:
-    """Vector twin of ``approaches._put_msg_cost``."""
+    """Stage costs of one RMA put (no matching at the target)."""
     post = p.put_overhead * mult
     wire = _wire_vec(p, nbytes)
     rx = p.put_handler_overhead
@@ -207,7 +262,7 @@ def _put_msg_cost_vec(p: SystemParams, nbytes, mult) -> _MsgCostV:
 
 @dataclass
 class _BenchCols:
-    """Array twin of ``approaches._Geometry`` for one (params,
+    """Bench spec fields the model consumes, for one (params,
     vci_method) group — every field a column over the group's points."""
 
     params: SystemParams
@@ -217,7 +272,10 @@ class _BenchCols:
     total_bytes: np.ndarray
     num_vcis: np.ndarray
     part_aggr_size: np.ndarray
+    #: Compute delay of the last partition (s); overlappable by pipelining.
     delay: np.ndarray
+    #: True when any compute model staggers the threads' posts (even a
+    #: delay-free one): a busy producer never saturates the VCI lock.
     compute_active: np.ndarray
 
     @property
@@ -229,23 +287,41 @@ class _BenchCols:
         return self.total_bytes // self.n_parts
 
 
-def _negotiated_vec(cols: _BenchCols) -> np.ndarray:
-    """``negotiate_message_count`` over columns (cached per unique
-    (n_parts, total_bytes, aggr) triple — the function is pure Python)."""
-    from ..mpi.partitioned import negotiate_message_count
+def _negotiated_vec(n_parts, total_bytes, aggr) -> np.ndarray:
+    """Internal message count of a partitioned transfer of ``n_parts``
+    partitions on both sides (``negotiate_message_count`` over columns).
 
-    stacked = np.stack(
-        [cols.n_parts, cols.total_bytes, cols.part_aggr_size]
-    )
-    uniq, inverse = np.unique(stacked, axis=1, return_inverse=True)
-    values = np.array(
-        [
-            negotiate_message_count(int(n), int(n), int(tb), int(aggr))
-            for n, tb, aggr in uniq.T
-        ],
-        dtype=np.int64,
-    )
-    return values[np.asarray(inverse).reshape(-1)]
+    Aggregation can only merge messages when it is enabled and one
+    message of ``total_bytes // n_parts`` bytes is non-empty and fits
+    in ``aggr``; every other row keeps one message per partition.  A
+    mergeable row's count depends only on ``n_parts`` and the merge
+    limit ``k_max = min(n_parts, aggr // msg_bytes)``, so the
+    pure-Python negotiation runs once per unique pair of those.
+    """
+    n_parts = np.asarray(n_parts, dtype=np.int64)
+    total_bytes = np.asarray(total_bytes, dtype=np.int64)
+    aggr = np.asarray(aggr, dtype=np.int64)
+    msg_bytes = total_bytes // n_parts
+    rows = np.nonzero((aggr > 0) & (msg_bytes > 0) & (msg_bytes <= aggr))[0]
+    counts = n_parts.copy()
+    if rows.size:
+        from ..mpi.partitioned import negotiate_message_count
+
+        n = n_parts[rows]
+        k_max = np.minimum(n, aggr[rows] // msg_bytes[rows])
+        _, first, inverse = np.unique(
+            n * (n.max() + 1) + k_max, return_index=True, return_inverse=True
+        )
+        rep = rows[first]
+        values = np.array(
+            [
+                negotiate_message_count(int(k), int(k), int(tb), int(a))
+                for k, tb, a in zip(n_parts[rep], total_bytes[rep], aggr[rep])
+            ],
+            dtype=np.int64,
+        )
+        counts[rows] = values[np.asarray(inverse).reshape(-1)]
+    return counts
 
 
 def _tag_transfer_vec(
@@ -259,7 +335,19 @@ def _tag_transfer_vec(
     path_extra=0.0,
     extra_serial=0.0,
 ) -> Tuple[np.ndarray, _MsgCostV]:
-    """Vector twin of ``approaches._tag_transfer`` (all regimes)."""
+    """Last-message completion time of a tag-matched message pipeline,
+    net of the overlappable compute delay, plus the per-message cost.
+
+    Returns ``(transfer, msg)``.  ``extra_serial`` is additional
+    globally-serialized per-message work (e.g. the partitioned path's
+    shared-counter atomics).  Beyond the generic stage-bottleneck
+    pipeline this captures the single-VCI rendezvous regime: every
+    progress-engine data injection queues on the VCI lock *behind* the
+    threads' already-enqueued RTS posts (the lock grants FIFO), so the
+    RTS prefix serializes in front of the data drain instead of
+    overlapping it — and the queue feedback saturates the contender
+    count (see :func:`~repro.model.approaches._zcopy_queue_contenders`).
+    """
     p = cols.params
     nbytes = np.asarray(nbytes, dtype=np.int64)
     contenders = np.asarray(contenders, dtype=np.float64)
@@ -270,17 +358,32 @@ def _tag_transfer_vec(
     )
     wire_nb = _wire_vec(p, nbytes)
     rtt = _rendezvous_rtt(p)
+    # The queue can only build as far as the messages feeding it: short
+    # pipelines never reach the steady-state contender count.
     c_sat = np.maximum(
         contenders,
         np.minimum(_zcopy_queue_contenders(p), contenders + n_msgs / 2.0),
     )
     pair = 2.0 * p.post_overhead * _mult_vec(p, c_sat)
+    # The queue feedback only sustains itself while the saturated double
+    # post still outpaces the wire and no compute delay staggers the
+    # producers; otherwise the lock queue drains and only the initial
+    # thread burst serializes ahead of the data.
     saturated = zsv & ~cols.compute_active & (pair >= wire_nb)
     contenders = np.where(saturated, c_sat, contenders)
     burst = zsv & ~saturated
     prefix_msgs = np.where(
         burst, np.minimum(n_msgs, cols.n_threads), n_msgs
     )
+    # Escalated episode-peak regime: while one data packet crosses the
+    # wire, ~wire/ctrl_overhead CTS-spawned injections pile onto the
+    # never-idle lock, so its sticky peak climbs to that count and later
+    # posts pay the inflated multiplier — the run splits between the
+    # base and the escalated plateau.  The hump only ignites once a wire
+    # slot clearly exceeds the handshake RTT (below that the base
+    # feedback already keeps pace), and beyond ~2.5 RTT per slot the CTS
+    # stream starves, the lock idles, and the peak resets (the plain
+    # wire bound is then exact).
     hump_window = (
         burst
         & ~cols.compute_active
@@ -315,7 +418,13 @@ def _tag_transfer_vec(
 
 def _pipeline_vec(n_msgs, cost: _MsgCostV, post_lanes, rx_lanes, delay,
                   extra_serial=0.0):
-    """Vector twin of ``approaches._pipeline``."""
+    """Last-message completion time of an ``n_msgs`` pipeline.
+
+    ``extra_serial`` is additional globally-serialized per-message work.
+    The delayed last partition overlaps the ``n_msgs - 1`` earlier
+    transfers (Eq. 3 generalized); one full message path closes the
+    pipeline.
+    """
     bottleneck = _chain_max(
         cost.post / post_lanes, cost.wire, cost.rx / rx_lanes, extra_serial
     )
@@ -323,13 +432,15 @@ def _pipeline_vec(n_msgs, cost: _MsgCostV, post_lanes, rx_lanes, delay,
 
 
 # ---------------------------------------------------------------------------
-# per-approach vector predictors (twins of approaches._predict_*)
+# per-approach predictors
 # ---------------------------------------------------------------------------
 
 def _vec_pt2pt_single(cols: _BenchCols) -> np.ndarray:
     p = cols.params
     barrier = _barrier_vec(p, cols.n_threads)
     msg = _tag_msg_cost_vec(p, cols.total_bytes, 1.0)
+    # Bulk semantics: both team barriers precede the single send, and
+    # the compute delay is fully removed by the metric.
     return 2.0 * barrier + msg.path
 
 
@@ -337,22 +448,33 @@ def _vec_pt2pt_many(cols: _BenchCols) -> np.ndarray:
     p = cols.params
     n, s = cols.n_parts, cols.part_bytes
     barrier = _barrier_vec(p, cols.n_threads)
+    # Each thread duplicates the communicator: one VCI per thread when
+    # available, otherwise threads share and pay the lock contention.
     lanes = np.maximum(1, np.minimum(cols.n_threads, cols.num_vcis))
     per_vci = _ceil_div(cols.n_threads, lanes)
     transfer, msg = _tag_transfer_vec(
         cols, n, s, per_vci - 1, lanes, lanes
     )
+    # The receiver's master pre-posts all n receives before its team
+    # barrier; a huge partition count can outlast the arrivals.
     prepost = n * p.recv_post_overhead + msg.rx
     return barrier + np.maximum(transfer, prepost)
 
 
 def _part_post_geometry_vec(cols: _BenchCols, n_msgs, msg_bytes):
-    """Vector twin of ``approaches._part_post_geometry``."""
+    """(lanes, base contenders, rx lanes) for partitioned messages."""
     p = cols.params
     if cols.vci_method == "comm":
+        # Partitioned traffic follows its communicator's single VCI.
+        # The serialized pready chain staggers the threads' arrivals at
+        # the lock, so the episode peak ramps up instead of starting at
+        # N - 1 (measured ≈ 0.8·(N-1) effective contenders) — except on
+        # the rendezvous path, where the progress engine's data posts
+        # keep the queue saturated at the full thread count.
         ones = np.ones_like(cols.n_threads)
         stagger = np.where(msg_bytes > p.eager_max, 1.0, 0.8)
         return ones, stagger * (cols.n_threads - 1), ones
+    # tag_rr / thread: messages spread round-robin over the VCIs.
     lanes = np.maximum(
         1, np.minimum(np.minimum(cols.n_threads, cols.num_vcis), n_msgs)
     )
@@ -374,17 +496,26 @@ def _pready_vec(p: SystemParams, n_threads) -> np.ndarray:
 
 def _vec_pt2pt_part(cols: _BenchCols) -> np.ndarray:
     p = cols.params
-    n_msgs = _negotiated_vec(cols)
+    n_msgs = _negotiated_vec(
+        cols.n_parts, cols.total_bytes, cols.part_aggr_size
+    )
     msg_bytes = cols.total_bytes // n_msgs
     barrier = _barrier_vec(p, cols.n_threads)
     lanes, contenders, rx_lanes = _part_post_geometry_vec(
         cols, n_msgs, msg_bytes
     )
+    # Every Pready serializes on the request's shared counters; every
+    # internal-message completion serializes on the receiver's shared
+    # counter, whose episode peak ramps with the delivering contexts
+    # (average ≈ half the lane count over a figure-sized burst).
     pready = _pready_vec(p, cols.n_threads)
     preadys_per_msg = cols.n_parts / n_msgs
     completion_atomic = (
         p.atomic_overhead + p.atomic_bounce_coeff * (rx_lanes - 1) / 2.0
     )
+    # A message leaves only after *all* its partitions' Pready calls
+    # cleared the globally-serialized shared counter, so the closing
+    # path carries its whole pready share.
     transfer, msg = _tag_transfer_vec(
         cols, n_msgs, msg_bytes, contenders, lanes, rx_lanes,
         rx_extra=completion_atomic,
@@ -401,18 +532,26 @@ def _vec_pt2pt_part_old(cols: _BenchCols) -> np.ndarray:
     p = cols.params
     n = cols.n_parts
     barrier = _barrier_vec(p, cols.n_threads)
+    # Every partition of every thread hammers one shared counter; the
+    # final decrement injects the whole buffer as a single active
+    # message (bounce copies on both sides, no early-bird overlap).
     pready = _pready_vec(p, cols.n_threads)
     pready_chain = (
         np.maximum((n - 1) * pready - cols.delay, 0.0) + pready
     )
+    # The single AM injection is the iteration's only VCI post — the
+    # threads contend on the shared Pready counter, not the lock.
     am_path = (
         p.post_overhead
-        + _copy_vec(p, cols.total_bytes)
+        + _copy_vec(p, cols.total_bytes)           # sender bounce copy
         + _wire_vec(p, cols.total_bytes)
         + p.latency
         + p.am_dispatch_overhead
         + _copy_vec(p, np.minimum(cols.total_bytes, p.am_chunk_bytes))
     )
+    # The receiver exits the inter-rank barrier early (it was the
+    # previous iteration's straggler), so its per-iteration CTS is
+    # already in flight at t_start: only its RX handling is exposed.
     cts = p.ctrl_overhead
     return (
         barrier
@@ -423,7 +562,8 @@ def _vec_pt2pt_part_old(cols: _BenchCols) -> np.ndarray:
 
 
 def _rma_stages_vec(cols: _BenchCols, many: bool):
-    """(put cost, lanes, windows, mult) — twin of ``_rma_put_stages``."""
+    """(put cost, lanes, windows, mult) of the RMA approaches' data
+    phase: one window per thread for RMA many, one shared otherwise."""
     p = cols.params
     windows = cols.n_threads if many else np.ones_like(cols.n_threads)
     lanes = np.maximum(1, np.minimum(windows, cols.num_vcis))
@@ -433,6 +573,8 @@ def _rma_stages_vec(cols: _BenchCols, many: bool):
 
 
 def _rma_scan_vec(cols: _BenchCols, windows) -> np.ndarray:
+    """Progress-engine scan paid per flush ack: every extra window
+    sharing the acking VCI is scanned (Fig. 5's RMA-many shift)."""
     sharing = _ceil_div(windows, np.minimum(windows, cols.num_vcis))
     return cols.params.rma_progress_scan * (sharing - 1)
 
@@ -442,7 +584,12 @@ def _vec_rma_passive(cols: _BenchCols, many: bool) -> np.ndarray:
     n = cols.n_parts
     barrier = _barrier_vec(p, cols.n_threads)
     put, lanes, windows, mult = _rma_stages_vec(cols, many)
+    # The receiver exits the inter-rank barrier early, so its exposure
+    # token is in flight at t_start: only its RX handling is exposed.
     put_start = p.recv_overhead + barrier
+    # Total per-stage work of the puts *and* the flush request(s): with
+    # thread-local flushes (RMA many) every flush's control post pays
+    # the same contended lock as the puts.
     flushes = windows if many else 1
     post_work = (n * put.post + flushes * p.ctrl_overhead * mult) / lanes
     wire_work = n * put.wire + flushes * p.wire_time(0)
@@ -467,6 +614,9 @@ def _vec_rma_active(cols: _BenchCols, many: bool) -> np.ndarray:
     n = cols.n_parts
     barrier = _barrier_vec(p, cols.n_threads)
     put, lanes, windows, _ = _rma_stages_vec(cols, many)
+    # PSCW: the receiver's exposure epochs (one per window, master
+    # serial) start ahead of t_start thanks to the barrier skew; the
+    # sender's own per-window Start sync runs concurrently.
     tokens_avail = (
         p.rma_sync_overhead
         + p.ctrl_overhead
@@ -481,6 +631,8 @@ def _vec_rma_active(cols: _BenchCols, many: bool) -> np.ndarray:
         + put.post
     )
     transfer_end = put_start + _pipeline_vec(n, put, lanes, lanes, cols.delay)
+    # Completion tokens (one per window, each with its own epoch-close
+    # sync) trail the puts; the last one's arrival ends the iteration.
     complete_issued = (
         post_done + windows * (p.rma_sync_overhead + p.ctrl_overhead)
     )
@@ -490,8 +642,8 @@ def _vec_rma_active(cols: _BenchCols, many: bool) -> np.ndarray:
     )
 
 
-#: Registry: approach name -> vector predictor over a ``_BenchCols``.
-_VECTOR_PREDICTORS = {
+#: Registry: approach name -> predictor over a ``_BenchCols`` group.
+APPROACH_PREDICTORS = {
     "pt2pt_single": _vec_pt2pt_single,
     "pt2pt_many": _vec_pt2pt_many,
     "pt2pt_part": _vec_pt2pt_part,
@@ -502,17 +654,22 @@ _VECTOR_PREDICTORS = {
     "rma_many_active": lambda c: _vec_rma_active(c, many=True),
 }
 
-assert set(_VECTOR_PREDICTORS) == set(APPROACH_PREDICTORS), (
-    "vector kernel out of sync with the scalar predictor registry"
-)
-
 
 # ---------------------------------------------------------------------------
 # bench entry points
 # ---------------------------------------------------------------------------
 
 def _delay_columns(total_bytes, n_threads, theta, gamma, gaussian_mu):
-    """Vector twin of ``predict_bench_time``'s delay/compute logic."""
+    """(delay, compute_active) columns of the compute models.
+
+    The fixed-delay model delays the last partition by ``γ`` per byte
+    of one partition.  The Gaussian model contributes no delay: the
+    harness computes *all* of a thread's partitions before marking any
+    ready, and the mean-rate Gaussian model keeps the threads in
+    lockstep — every message becomes ready in one burst exactly when
+    the compute removal ends, so the measured time matches the
+    compute-free transfer.
+    """
     g = gamma * 1e-6 / 1e6
     raw_delay = g * (total_bytes // (n_threads * theta))
     gaussian = gaussian_mu > 0
@@ -526,18 +683,17 @@ def _approach_codes(approach) -> Tuple[List[str], np.ndarray]:
 
     Accepts a ready-made ``(names, codes)`` pair (the campaign fast
     path derives codes straight from the grid's axis digits — no string
-    hashing over the batch), or any array of names (factorized here).
-    Shared by every categorical pattern/bench column (approach,
-    pattern, noise).
+    hashing over the batch), or any sequence of names, factorized here
+    in first-seen order by one dict lookup per name (no sort, so a
+    one-row call stays cheap).  Shared by every categorical
+    pattern/bench column (approach, pattern, noise).
     """
     if isinstance(approach, tuple):
         names, codes = approach
         return list(names), np.asarray(codes, dtype=np.int64)
-    approach = np.asarray(approach)
-    names, codes = np.unique(approach.astype(str), return_inverse=True)
-    return [str(name) for name in names], np.asarray(
-        codes, dtype=np.int64
-    ).reshape(-1)
+    index: Dict[str, int] = {}
+    codes = [index.setdefault(str(name), len(index)) for name in approach]
+    return list(index), np.array(codes, dtype=np.int64)
 
 
 def _dispatch_bench(
@@ -559,7 +715,7 @@ def _dispatch_bench(
     names, codes = _approach_codes(approach)
     times = np.empty(len(codes), dtype=np.float64)
     for code, name in enumerate(names):
-        if name not in _VECTOR_PREDICTORS:
+        if name not in APPROACH_PREDICTORS:
             raise KeyError(f"no analytic predictor for approach {name!r}")
         idx = np.nonzero(codes == code)[0]
         if not idx.size:
@@ -575,7 +731,7 @@ def _dispatch_bench(
             delay=delay[idx],
             compute_active=compute_active[idx],
         )
-        times[idx] = _VECTOR_PREDICTORS[name](cols)
+        times[idx] = APPROACH_PREDICTORS[name](cols)
     return times
 
 
@@ -623,11 +779,8 @@ def bench_times_from_columns(
 
 
 def bench_batch_times(specs: Sequence[Any]) -> np.ndarray:
-    """Predicted times for a batch of ``BenchSpec``-shaped objects.
-
-    Point ``i`` of the result is bitwise-equal to
-    ``predict_bench_time(specs[i]).time``.
-    """
+    """Predicted times for a batch of ``BenchSpec``-shaped objects,
+    grouped by machine model and VCI method."""
     times = np.empty(len(specs), dtype=np.float64)
     groups: Dict[Any, List[int]] = {}
     for i, spec in enumerate(specs):
@@ -647,7 +800,7 @@ def _bench_batch_grouped(
         times[np.array(indices)] = _dispatch_bench(
             params,
             vci_method,
-            np.array([s.approach for s in sub], dtype=object),
+            [s.approach for s in sub],
             np.array([s.n_threads for s in sub], dtype=np.int64),
             np.array([s.theta for s in sub], dtype=np.int64),
             np.array([s.total_bytes for s in sub], dtype=np.int64),
@@ -757,40 +910,44 @@ def _topology_summary(config) -> Tuple:
 
 
 def _pattern_link_messages(approach: str, nbytes, n_threads, aggr):
-    """Vector twin of ``patterns._link_messages`` (approach constant)."""
+    """(messages, bytes per message) one link contributes per iteration
+    (approach constant over the columns)."""
     if approach == "pt2pt_single" or approach == "pt2pt_part_old":
+        # one bulk send, or the legacy path's single active message
         return np.ones_like(nbytes), nbytes
     if approach == "pt2pt_part":
-        from ..mpi.partitioned import negotiate_message_count
-
-        stacked = np.stack([n_threads, nbytes, aggr])
-        uniq, inverse = np.unique(stacked, axis=1, return_inverse=True)
-        values = np.array(
-            [
-                negotiate_message_count(int(t), int(t), int(nb), int(a))
-                for t, nb, a in uniq.T
-            ],
-            dtype=np.int64,
-        )
-        n = values[np.asarray(inverse).reshape(-1)]
+        # one partition per thread, merged as the negotiation allows
+        n = _negotiated_vec(n_threads, nbytes, aggr)
         return n, nbytes // n
+    # pt2pt_many and every RMA approach: one message per thread.
     return n_threads, nbytes // n_threads
 
 
 def _pattern_per_message_vec(p, approach: str, msg_bytes, mult):
-    """Vector twin of ``patterns._per_message_costs``."""
+    """(cost, per_link_sync) of one link message under the approach.
+
+    ``per_link_sync`` is serialized master-thread work *per link* — the
+    blocking synchronization round trips the apps harness issues
+    link-by-link in its start/wait loops.
+    """
     if approach.startswith("rma"):
         put = _put_msg_cost_vec(p, msg_bytes, mult)
         if "passive" in approach:
+            # Per link: exposure-token wait, a blocking flush round
+            # trip, and the completion token.
             per_link = (
                 _token_path(p, p.post_overhead)
                 + p.rma_sync_overhead
                 + 2.0 * _ctrl_path(p)
             )
         else:
+            # Per link: the PSCW epoch-open sync plus one token round;
+            # the close-side tokens overlap the next link's epoch.
             per_link = p.rma_sync_overhead + _ctrl_path(p)
         return put, per_link
     if approach == "pt2pt_part_old":
+        # One active message per link: bounce copies on both sides, AM
+        # dispatch at the target, a per-iteration CTS.
         post = p.post_overhead * mult + _copy_vec(p, msg_bytes)
         wire = _wire_vec(p, msg_bytes)
         rx = p.am_dispatch_overhead + _copy_vec(
@@ -810,9 +967,9 @@ def _pattern_per_message_vec(p, approach: str, msg_bytes, mult):
 
 @dataclass
 class _PatternCols:
-    """Array twin of the scalar pattern predictor's inputs for one
-    (approach, params) group — topology summaries already gathered to
-    per-point columns, plus the per-point spec columns."""
+    """Pattern model inputs for one (approach, params) group — topology
+    summaries already gathered to per-point columns, plus the per-point
+    spec columns."""
 
     nbytes: np.ndarray
     max_out: np.ndarray
@@ -830,8 +987,7 @@ class _PatternCols:
 
 
 def _pattern_times_cols(p, approach: str, cols: _PatternCols) -> np.ndarray:
-    """Vector twin of ``patterns.predict_pattern_time`` for one
-    (approach, params) group over bare columns."""
+    """Predicted per-iteration times of one (approach, params) group."""
     n_threads = cols.n_threads
     nbytes = cols.nbytes
     max_out = cols.max_out
@@ -842,6 +998,11 @@ def _pattern_times_cols(p, approach: str, cols: _PatternCols) -> np.ndarray:
     )
     max_pair = cols.max_pair_links * n_msgs
 
+    # Every link has its own context, so messages spread over the VCIs
+    # context-wise; the threads contend per VCI exactly as in the
+    # two-rank model, with the spawned progress agents (rendezvous data
+    # injections, CTS answers for the incoming links) inflating the
+    # episode peak toward the saturated queue count.
     lanes = np.maximum(1, np.minimum(n_threads, cols.num_vcis))
     per_vci = _ceil_div(n_threads, lanes)
     contenders = (per_vci - 1).astype(np.float64)
@@ -869,14 +1030,24 @@ def _pattern_times_cols(p, approach: str, cols: _PatternCols) -> np.ndarray:
     msg, per_link_sync = _pattern_per_message_vec(p, approach, msg_bytes, mult)
     sync_tail = max_out * per_link_sync
 
+    # Per-iteration useful work of one thread (overlappable with the
+    # transfers, and removed by the metric): one partition per outgoing
+    # link, computed immediately before that link's ready call.
     mu = cols.compute_rate * 1e-6 / 1e6
     compute = max_out * mu * (nbytes / n_threads)
+    # Injected-noise budget: the slowest thread's expected extra delay
+    # over its max_out quanta (see repro.model.patterns).
     noise_rank = max_out * cols.noise_q
 
     post_work = max_out * n_msgs * msg.post / lanes
+    # Incoming rendezvous traffic posts its CTS answers on the same
+    # contended lock as the outgoing RTS/data injections.
     post_work = post_work + np.where(
         zcopy, max_in * n_msgs * p.ctrl_overhead * mult / lanes, 0.0
     )
+    # The per-VCI TX loop blocks while each packet crosses its wire, so
+    # a rank's whole outgoing traffic serializes over its lanes even
+    # when it targets distinct pair wires.
     wire_work = np.maximum(
         max_pair * msg.wire, max_out * n_msgs * msg.wire / lanes
     )
@@ -885,9 +1056,19 @@ def _pattern_times_cols(p, approach: str, cols: _PatternCols) -> np.ndarray:
     from .patterns import STREAMING_APPROACHES
 
     if approach == "pt2pt_single":
+        # Bulk semantics: the master starts and *blocks on* each link's
+        # send in turn after the compute phase — nothing overlaps, and
+        # the metric's removal cancels the noisy phase at depth 1.  An
+        # extra wavefront hop re-pays the full un-removed rank budget.
         hop = max_out * msg.path + sync_tail
         hop_noise = noise_rank
     elif approach in STREAMING_APPROACHES:
+        # The compute phase *and the staggered noise* hide the
+        # bottleneck work, down to the stagger-limited drain floor
+        # (one message's share once the readies spread out, but never
+        # more than the noise budget below the lockstep floor).
+        # Downstream hops are gated per link: only the last quantum
+        # before that link's ready survives the overlap.
         floor = np.maximum(
             bottleneck / rank_msgs, bottleneck / max_out - noise_rank
         )
@@ -898,6 +1079,9 @@ def _pattern_times_cols(p, approach: str, cols: _PatternCols) -> np.ndarray:
         )
         hop_noise = cols.noise_q
     else:
+        # RMA: the puts stream, but the epoch close (and thereby the
+        # receiver's wait) is gated by the noisy phase end — absorbed
+        # at depth 1 by the removal, re-paid per extra hop.
         hop = (
             np.maximum(bottleneck - compute, bottleneck / max_out)
             + msg.path
@@ -905,18 +1089,22 @@ def _pattern_times_cols(p, approach: str, cols: _PatternCols) -> np.ndarray:
         )
         hop_noise = noise_rank
     hop = hop + _barrier_vec(p, n_threads)
+    # Wavefront: each hop's blocking receive gates the next rank's
+    # compute phase, whose useful work and injected noise are *not*
+    # removed for the downstream ranks (only one thread's total is
+    # subtracted by the metric).
     times = np.where(
         cols.depth > 1,
         hop + (cols.depth - 1) * (hop + compute + hop_noise),
         hop,
     )
+    # A pattern without links communicates nothing.
     return np.where(cols.n_links == 0, 0.0, times)
 
 
 def _noise_quantum_column(noise, noise_us, noise_sigma_us) -> np.ndarray:
     """``patterns.noise_mean_quantum`` over columns, evaluated once per
-    unique (noise, amplitude, sigma) triple through the *scalar*
-    function — so the vector path is bitwise-equal by construction.
+    unique (noise, amplitude, sigma) triple (it needs ``math.erf``).
 
     ``noise`` is either a ``(names, codes)`` pair (the campaign fast
     path) or an array of shape names.
@@ -940,10 +1128,9 @@ def _noise_quantum_column(noise, noise_us, noise_sigma_us) -> np.ndarray:
     return values[np.asarray(inverse).reshape(-1)]
 
 
-def _pattern_group_times(p, approach: str, configs) -> np.ndarray:
-    """Vector twin of ``patterns.predict_pattern_time`` for one
-    (approach, params) group of config objects."""
-    topo = [_topology_summary(c) for c in configs]
+def _pattern_group_times(p, approach: str, configs, topo) -> np.ndarray:
+    """Predicted times of one (approach, params) group of configs;
+    ``topo`` holds their ``_topology_summary`` tuples."""
     cols = _PatternCols(
         nbytes=np.array([t[0] for t in topo], dtype=np.int64),
         max_out=np.array([t[1] for t in topo], dtype=np.int64),
@@ -962,7 +1149,7 @@ def _pattern_group_times(p, approach: str, configs) -> np.ndarray:
             [c.compute_us_per_mb for c in configs], dtype=np.float64
         ),
         noise_q=_noise_quantum_column(
-            np.array([c.noise for c in configs], dtype=object),
+            [c.noise for c in configs],
             [c.noise_us for c in configs],
             [c.noise_sigma_us for c in configs],
         ),
@@ -971,25 +1158,24 @@ def _pattern_group_times(p, approach: str, configs) -> np.ndarray:
 
 
 def pattern_batch(configs: Sequence[Any]) -> PatternBatch:
-    """Vectorized predictions for a batch of ``PatternConfig`` objects.
-
-    Point ``i`` of ``times`` is bitwise-equal to
-    ``predict_pattern_time(configs[i]).time``; ``bytes_per_iteration``
-    and ``n_links`` match the pattern the scalar backend would build.
-    """
+    """Predictions for a batch of ``PatternConfig`` objects, grouped by
+    approach and machine model; ``bytes_per_iteration`` and ``n_links``
+    are those of the pattern each config builds."""
     n = len(configs)
     times = np.empty(n, dtype=np.float64)
     groups: Dict[Any, List[int]] = {}
     for i, config in enumerate(configs):
         groups.setdefault((config.approach, config.params), []).append(i)
-    with span("kernel.eval", kind="pattern"):
-        for (approach, params), indices in groups.items():
-            sub = [configs[i] for i in indices]
-            times[np.array(indices)] = _pattern_group_times(
-                params, approach, sub
-            )
     with span("kernel.topology", kind="pattern"):
         topo = [_topology_summary(c) for c in configs]
+    with span("kernel.eval", kind="pattern"):
+        for (approach, params), indices in groups.items():
+            times[np.array(indices)] = _pattern_group_times(
+                params,
+                approach,
+                [configs[i] for i in indices],
+                [topo[i] for i in indices],
+            )
     return PatternBatch(
         times=times,
         bytes_per_iteration=np.array([t[5] for t in topo], dtype=np.int64),
@@ -1006,21 +1192,19 @@ def pattern_times_from_columns(
 ) -> PatternBatch:
     """Vectorized pattern predictions for ``n_points`` given bare columns.
 
-    The pattern twin of :func:`bench_times_from_columns` — the campaign
-    fast path never constructs a ``PatternConfig``.  ``columns`` maps
+    The pattern counterpart of :func:`bench_times_from_columns` — the
+    campaign fast path never constructs a ``PatternConfig``.  ``columns`` maps
     :data:`PATTERN_COLUMN_FIELDS` to per-point arrays (or scalars,
     broadcast); absent fields take the ``PatternConfig`` defaults.  The
     categorical columns (``pattern``, ``approach``, ``noise``) may be
     ``(names, codes)`` pairs factorized straight from the grid digits
     (see :meth:`~repro.runner.scenario.ScenarioGrid.kernel_columns`), a
     bare name, or arrays of names.  ``params`` and the cvar knobs are
-    batch constants, as in the bench twin.
+    batch constants, as in the bench kernel.
 
     Topology link graphs are built once per unique
     ``(pattern, n_ranks, n_threads, msg_bytes)`` geometry
-    (process-lifetime cache) and gathered to per-point columns; every
-    per-point value is bitwise-equal to the scalar
-    ``predict_pattern_time`` path.
+    (process-lifetime cache) and gathered to per-point columns.
     """
     def col(name, dtype, default):
         value = columns.get(name, default)
@@ -1058,8 +1242,8 @@ def pattern_times_from_columns(
             np.asarray(inverse).reshape(-1)
         ]
 
-    # Column prep is model work too (the noise-quantum column calls the
-    # scalar model once per unique noise triple) — charged to the
+    # Column prep is model work too (the noise-quantum column calls
+    # noise_mean_quantum once per unique noise triple) — charged to the
     # kernel stage so the profile attribution covers it.
     with span("kernel.eval", kind="pattern"):
         cols = _PatternCols(
@@ -1086,7 +1270,7 @@ def pattern_times_from_columns(
             if not idx.size:
                 continue
             if name not in APPROACH_PREDICTORS:
-                # Same contract as the bench twin: an unknown name must
+                # Same contract as the bench kernel: an unknown name must
                 # fail loudly, not fall into the bulk-gated default
                 # branch with a plausible wrong number.
                 raise KeyError(

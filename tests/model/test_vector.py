@@ -436,6 +436,32 @@ class TestBenchEquivalence:
         ))
         assert_golden(name, [predict_bench_time(s).time for s in specs])
 
+    def test_negotiated_counts_match_negotiation(self):
+        """The kernel's message-count column, fast path and fallback
+        rows alike, equals the simulator's negotiation per row."""
+        from repro.model.vector import _negotiated_vec
+        from repro.mpi.partitioned import negotiate_message_count
+
+        rows = list(itertools.product(
+            [1, 2, 3, 4, 6, 8, 12, 32, 64],
+            [0, 7, 64, 1000, 4096, 1 << 16, 1 << 20],
+            AGGR_SIZES + [1, 100, 3000],
+        ))
+        n, total, aggr = (np.array(col) for col in zip(*rows))
+        expected = [negotiate_message_count(k, k, tb, a) for k, tb, a in rows]
+        assert list(_negotiated_vec(n, total, aggr)) == expected
+
+    def test_bit_length_matches_int(self):
+        """The barrier's round count, at every power-of-two boundary."""
+        from repro.model.vector import _bit_length_vec
+
+        values = sorted({
+            max(0, (1 << k) + d) for k in range(53) for d in (-1, 0, 1)
+        })
+        assert list(_bit_length_vec(np.array(values))) == [
+            v.bit_length() for v in values
+        ]
+
     def test_kernel_registry_matches_bench_approaches(self):
         from repro.model.vector import APPROACH_PREDICTORS
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.bench import BenchSpec, run_benchmark
-from repro.model import predict_message_time
+from repro.model import predict_bench_time
 from repro.mpi import MPIWorld
 from repro.net import MELUXINA
 
@@ -52,7 +52,8 @@ class TestWireStats:
 
 
 class TestPredictionAgainstSimulator:
-    """`predict_message_time` must track the simulator per protocol."""
+    """The model's one-thread ``pt2pt_single`` time — one uncontended
+    tag-matched message — must track the simulator per protocol."""
 
     @pytest.mark.parametrize("nbytes", [64, 512, 1024])
     def test_short_protocol(self, nbytes):
@@ -68,14 +69,12 @@ class TestPredictionAgainstSimulator:
 
     @staticmethod
     def _check(nbytes, rel=0.05):
+        spec = BenchSpec(approach="pt2pt_single", total_bytes=nbytes,
+                         iterations=3)
         predicted = (
-            predict_message_time(MELUXINA, nbytes).total
-            + MELUXINA.recv_post_overhead
+            predict_bench_time(spec).time + MELUXINA.recv_post_overhead
         )
-        measured = run_benchmark(
-            BenchSpec(approach="pt2pt_single", total_bytes=nbytes,
-                      iterations=3)
-        ).mean
+        measured = run_benchmark(spec).mean
         assert measured == pytest.approx(predicted, rel=rel), (
             f"{nbytes} B: predicted {predicted * 1e6:.3f} us, "
             f"measured {measured * 1e6:.3f} us"
